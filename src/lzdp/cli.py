@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .core import (
+    BYTES,
     Alphabet,
     CompressionConfig,
     LzdpError,
@@ -51,7 +52,7 @@ def _fail(message: str) -> int:
 
 def _alphabet(symbols_arg: str) -> Alphabet:
     if symbols_arg == "bytes":
-        return Alphabet.bytes_alphabet()
+        return BYTES
     return Alphabet.from_symbols(symbols_arg)
 
 
@@ -64,7 +65,7 @@ def _read_text(path: str, symbols_arg: str) -> Text:
 
 
 def _write_text(path: str, text: Text) -> None:
-    Path(path).write_bytes(text.to_string().encode("latin-1"))
+    Path(path).write_bytes(text.to_bytes())
 
 
 def _config(args) -> CompressionConfig:

@@ -95,10 +95,6 @@ class Alphabet:
     def from_symbols(cls, labels: str) -> "Alphabet":
         return cls(tuple(labels))
 
-    @classmethod
-    def bytes_alphabet(cls) -> "Alphabet":
-        return BYTES
-
 
 BYTES = Alphabet(tuple(chr(i) for i in range(256)))
 
@@ -133,7 +129,11 @@ class Text:
         return "".join(self.alphabet.label(ord(c)) for c in self.codes)
 
     def to_bytes(self) -> bytes:
-        return bytes(self.alphabet.index_of(self.alphabet.label(ord(c))) for c in self.codes)
+        """The symbol labels as latin-1 bytes; inverse of from_bytes."""
+        try:
+            return self.to_string().encode("latin-1")
+        except UnicodeEncodeError:
+            raise DomainError("only labels below U+0100 convert to bytes") from None
 
     @classmethod
     def from_indices(cls, alphabet: Alphabet, indices) -> "Text":
@@ -148,7 +148,7 @@ class Text:
         return cls(BYTES, data.decode("latin-1"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One emitted unit: ``[q, length, lit]`` with 1-based source start q."""
 

@@ -100,6 +100,14 @@ class TestText:
         data = bytes(range(256)) * 3
         assert Text.from_bytes(data).to_bytes() == data
 
+    def test_to_bytes_returns_labels(self):
+        # labels, not symbol indices: "b" has index 1 in this alphabet
+        assert Text.from_string("ba", Alphabet.from_symbols("ab")).to_bytes() == b"ba"
+
+    def test_to_bytes_rejects_wide_labels(self):
+        with pytest.raises(DomainError):
+            Text.from_string("\u0394", Alphabet.from_symbols("\u0394")).to_bytes()
+
     def test_string_roundtrip(self):
         t = Text.from_string("abba", ABCD)
         assert t.indices() == (0, 1, 1, 0)

@@ -1,8 +1,11 @@
 """Compressor semantics: known traces, oracle equivalence, roundtrips."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lzdp import (
     Block,
@@ -17,7 +20,9 @@ from lzdp import (
     compress_reference,
     decompress,
 )
+from lzdp import lz77
 from lzdp.lz77 import longest_match_reference
+from lzdp.quinstr import quinstr
 
 from conftest import AB, ABCD, all_texts, random_byte_text, standard_configs, synthetic_alphabet
 
@@ -235,3 +240,90 @@ class TestCompressorInvariants:
 
             f = compress(random_byte_text(rng, rng.randrange(0, 128)), NO)
             assert payload_bits(f).nbits == bit_length(f)
+
+
+def assert_matches_reference(text, windows=(None,)):
+    for window in windows:
+        for variant in Variant:
+            config = CompressionConfig(window=window, variant=variant)
+            assert blocks_of(compress(text, config)) == blocks_of(
+                compress_reference(text, config)
+            ), (window, variant)
+
+
+def chunk_windows(chunk):
+    # windows shorter than, equal to and straddling the chunk edges
+    return (1, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, None)
+
+
+@pytest.fixture(params=[7, 37])
+def tiny_chunks(request, monkeypatch):
+    """Every text takes the table path, in chunks of 7 or 37 positions."""
+    monkeypatch.setattr(lz77, "_TABLE_CUTOFF", 0)
+    monkeypatch.setattr(lz77, "_CHUNK", request.param)
+    return request.param
+
+
+class TestTableMatcher:
+    """The short-match tables must reproduce the brute-force parse exactly."""
+
+    def test_random_bytes(self, tiny_chunks):
+        rng = random.Random(91)
+        for _ in range(40):
+            text = random_byte_text(rng, rng.randrange(0, 300))
+            assert_matches_reference(text, chunk_windows(tiny_chunks))
+
+    def test_small_alphabets(self, tiny_chunks):
+        rng = random.Random(92)
+        for _ in range(60):
+            k = rng.randrange(1, 5)
+            n = rng.randrange(0, 200)
+            text = Text.from_indices(synthetic_alphabet(k), [rng.randrange(k) for _ in range(n)])
+            assert_matches_reference(text, chunk_windows(tiny_chunks))
+
+    def test_periodic(self, tiny_chunks):
+        rng = random.Random(93)
+        for _ in range(40):
+            k, period, n = rng.randrange(1, 4), rng.randrange(1, 9), rng.randrange(1, 200)
+            base = [rng.randrange(k) for _ in range(period)]
+            text = Text.from_indices(synthetic_alphabet(k), (base * n)[:n])
+            assert_matches_reference(text, chunk_windows(tiny_chunks))
+
+    def test_random_bytes_above_cutoff(self):
+        text = random_byte_text(random.Random(94), 3000)
+        assert lz77._uses_tables(text)
+        assert_matches_reference(text, (700, None))
+
+    def test_quinstr_above_cutoff(self):
+        text = quinstr(8).w
+        assert lz77._uses_tables(text)
+        assert_matches_reference(text, (100, None))
+
+    def test_wide_alphabet_takes_the_loop(self, monkeypatch):
+        # more than 256 symbols: no tables, even above the cutoff
+        monkeypatch.setattr(lz77, "_TABLE_CUTOFF", 0)
+        monkeypatch.setattr(lz77, "_ShortMatchTables", None)
+        rng = random.Random(95)
+        alpha = synthetic_alphabet(300)
+        text = Text.from_indices(alpha, [rng.randrange(300) for _ in range(150)] * 2)
+        assert_matches_reference(text, (1, 40, None))
+
+    def test_small_input_skips_tables(self, monkeypatch):
+        monkeypatch.setattr(lz77, "_ShortMatchTables", None)
+        text = random_byte_text(random.Random(96), lz77._TABLE_CUTOFF - 1)
+        assert_matches_reference(text, (16, None))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 3), max_size=120),
+        chunk=st.sampled_from([7, 37]),
+        window=st.one_of(st.none(), st.integers(1, 50)),
+        self_ref=st.booleans(),
+    )
+    def test_property(self, codes, chunk, window, self_ref):
+        text = Text.from_indices(synthetic_alphabet(4), codes)
+        variant = Variant.SELF_REFERENCING if self_ref else Variant.NON_OVERLAPPING
+        config = CompressionConfig(window=window, variant=variant)
+        with mock.patch.object(lz77, "_TABLE_CUTOFF", 0), mock.patch.object(lz77, "_CHUNK", chunk):
+            fast = compress(text, config)
+        assert blocks_of(fast) == blocks_of(compress_reference(text, config))
