@@ -27,11 +27,8 @@ from .core import (
     bit_length,
     block_width,
 )
+from .dp import _bound_expr
 from .lz77 import block_spans, compress
-
-_CBRT3 = 3.0 ** (1.0 / 3.0)
-_CBRT9 = 9.0 ** (1.0 / 3.0)
-_CBRT81 = 81.0 ** (1.0 / 3.0)
 
 
 class InvariantViolation(LzdpError):
@@ -161,9 +158,7 @@ def classify_pair(w: Text, w_prime: Text, config: CompressionConfig) -> PairAnal
 def t2_bound(n: int, window: int | None) -> float:
     """Real-valued cap on the number of two-start blocks of any neighbor pair."""
     w = n if window is None else min(window, n)
-    if w >= n:
-        return _CBRT9 / 2 * n ** (2 / 3) + _CBRT3 / 2 * n ** (1 / 3) + 1
-    return _CBRT81 / 2 * w ** (2 / 3) + _CBRT9 / 2 * w ** (1 / 3) + 3
+    return _bound_expr(w, windowed=w < n, self_ref=False)
 
 
 def check_counting_identities(pa: PairAnalysis) -> list[IdentityResult]:
@@ -211,11 +206,11 @@ def check_counting_identities(pa: PairAnalysis) -> list[IdentityResult]:
             )
         )
 
+    q, length = pa.file.q, pa.file.length
     bad = []
     for i in type2:
         s_i, f_i = pa.spans[i]
-        b = pa.file.blocks[i]
-        if not (s_i <= pa.j <= f_i or pa.j - b.length < b.q <= pa.j):
+        if not (s_i <= pa.j <= f_i or pa.j - length[i] < q[i] <= pa.j):
             bad.append(i + 1)
     results.append(
         IdentityResult(
@@ -225,7 +220,7 @@ def check_counting_identities(pa: PairAnalysis) -> list[IdentityResult]:
         )
     )
 
-    offsets = [(pa.file.blocks[i].q, pa.file.blocks[i].length) for i in type2]
+    offsets = [(q[i], length[i]) for i in type2]
     results.append(
         IdentityResult(
             "type2_offsets_distinct",
@@ -235,10 +230,10 @@ def check_counting_identities(pa: PairAnalysis) -> list[IdentityResult]:
     )
 
     i_star = next(i for i, (s, f) in enumerate(pa.spans) if s <= pa.j <= f)
-    len_star = pa.file.blocks[i_star].length
+    len_star = length[i_star]
     per_len: dict[int, int] = {}
     for i in type2:
-        per_len[pa.file.blocks[i].length] = per_len.get(pa.file.blocks[i].length, 0) + 1
+        per_len[length[i]] = per_len.get(length[i], 0) + 1
     bad_lens = [
         ln for ln, cnt in per_len.items() if cnt > ln + (1 if ln == len_star else 0)
     ]
@@ -279,11 +274,11 @@ def pair_report(pa: PairAnalysis) -> dict:
                 "i": i + 1,
                 "s": pa.spans[i][0],
                 "f": pa.spans[i][1],
-                "q": b.q,
-                "len": b.length,
+                "q": q,
+                "len": length,
                 "type": pa.types[i],
             }
-            for i, b in enumerate(pa.file.blocks)
+            for i, (q, length) in enumerate(zip(pa.file.q, pa.file.length))
         ],
     }
 

@@ -3,15 +3,26 @@
 A compressed file is a sequence of blocks ``[q, len, lit]``: copy ``len``
 symbols starting at 1-based position ``q`` of the already-reconstructed
 prefix, then append the literal symbol ``lit``.  ``q == len == 0`` marks a
-pure literal block.  Every block is encoded with fixed-width fields, so the
-payload cost in bits is ``t * (2*bits_per_int(n) + bits_per_int(K))``.
+pure literal block.  A ``CompressedFile`` holds its blocks as three
+``array('Q')`` columns; ``Block`` objects are built only on demand.
+
+Every block is encoded with fixed-width fields, so the payload cost in bits
+is ``t * (2*bits_per_int(n) + bits_per_int(K))``.  numpy packs and parses
+the columns a chunk of blocks at a time, as bit matrices; every field fits
+64 bits, because n is a u64 header field.  Readers also reject a block list
+that breaks its header's variant or window.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from operator import ne, not_
+
+import numpy as np
 
 MAGIC = b"LZDP"
 VERSION = 1
@@ -186,31 +197,58 @@ class CompressionConfig:
 
 @dataclass(frozen=True)
 class CompressedFile:
-    """Header data plus the block list of one compressed text."""
+    """Header data plus the block list of one compressed text.
+
+    Block i is ``[q[i], length[i], lit[i]]``; the columns are ``array('Q')``
+    of one length, t.  They are checked once per file, not once per block.
+    """
 
     n: int
     config: CompressionConfig
     alphabet: Alphabet
-    blocks: tuple[Block, ...]
+    q: array
+    length: array
+    lit: array
 
     def __post_init__(self):
         if self.n < 0:
             raise DomainError("n must be >= 0")
-        total = sum(b.length + 1 for b in self.blocks)
+        columns = (self.q, self.length, self.lit)
+        if not all(isinstance(c, array) and c.typecode == "Q" for c in columns):
+            raise DomainError("block columns must be array('Q')")
+        t = len(self.q)
+        if len(self.length) != t or len(self.lit) != t:
+            raise DomainError("block columns differ in length")
+        total = sum(self.length) + t
         if total != self.n:
             raise DomainError(
                 f"blocks cover {total} symbols but the file declares n = {self.n}"
             )
+        if not t:
+            return
         k = self.alphabet.size
-        for i, b in enumerate(self.blocks):
-            if b.lit >= k:
-                raise DomainError(f"block {i + 1}: literal index {b.lit} >= alphabet size {k}")
-            if b.q > self.n - 1:
-                raise DomainError(f"block {i + 1}: source start {b.q} exceeds n - 1")
+        if max(self.lit) >= k:
+            raise DomainError(f"literal index {max(self.lit)} >= alphabet size {k}")
+        if max(self.q) > self.n - 1:
+            raise DomainError(f"source start {max(self.q)} exceeds n - 1")
+        if any(map(ne, map(not_, self.q), map(not_, self.length))):
+            raise DomainError(
+                "literal blocks need q == length == 0, match blocks q >= 1 and length >= 1"
+            )
+
+    @classmethod
+    def from_blocks(cls, n: int, config: CompressionConfig, alphabet: Alphabet, blocks):
+        """A file from ``Block`` objects, for hand-built block lists."""
+        columns = [array("Q", [getattr(b, f) for b in blocks]) for f in ("q", "length", "lit")]
+        return cls(n, config, alphabet, *columns)
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        return tuple(map(Block, self.q, self.length, self.lit))
 
     @property
     def t(self) -> int:
-        return len(self.blocks)
+        return len(self.q)
 
 
 def bits_per_int(x: int) -> int:
@@ -224,15 +262,19 @@ def bits_per_int(x: int) -> int:
     return max(1, (x - 1).bit_length())
 
 
+def _field_widths(n: int, k: int) -> tuple[int, int, int]:
+    """Widths of the q, length and lit fields of a block; n = 0 sizes as n = 1."""
+    wint = bits_per_int(max(n, 1))
+    return wint, wint, bits_per_int(k)
+
+
 def block_width(n: int, k: int) -> int:
     """Encoded width of a single block in bits."""
-    return 2 * bits_per_int(n) + bits_per_int(k)
+    return sum(_field_widths(n, k))
 
 
 def bit_length(file: CompressedFile) -> int:
     """Payload cost in bits: t blocks at block_width(n, K) bits each."""
-    if file.n == 0:
-        return 0
     return file.t * block_width(file.n, file.alphabet.size)
 
 
@@ -253,14 +295,6 @@ class Bits:
             if tail:
                 raise DomainError("fill bits after the final data bit must be zero")
 
-    def __len__(self) -> int:
-        return self.nbits
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.nbits:
-            raise IndexError(i)
-        return (self.data[i // 8] >> (7 - i % 8)) & 1
-
     def prefix(self, nbits: int) -> "Bits":
         if not 0 <= nbits <= self.nbits:
             raise DomainError(f"prefix length {nbits} out of range")
@@ -271,115 +305,79 @@ class Bits:
         return Bits(bytes(buf), nbits)
 
     def to01(self) -> str:
-        return "".join(str(self.bit(i)) for i in range(self.nbits))
+        if not self.nbits:
+            return ""
+        value = int.from_bytes(self.data, "big") >> (-self.nbits % 8)
+        return format(value, f"0{self.nbits}b")
 
     @classmethod
     def from01(cls, s: str) -> "Bits":
-        w = BitWriter()
-        for ch in s:
-            if ch not in "01":
-                raise DomainError(f"not a bit: {ch!r}")
-            w.write_bit(ch == "1")
-        return w.to_bits()
+        # int(s, 2) would also take signs, spaces and underscores
+        bad = s.strip("01")
+        if bad:
+            raise DomainError(f"not a bit: {bad[0]!r}")
+        if not s:
+            return cls.empty()
+        nbytes = (len(s) + 7) // 8
+        return cls((int(s, 2) << (-len(s) % 8)).to_bytes(nbytes, "big"), len(s))
 
     @classmethod
     def empty(cls) -> "Bits":
         return cls(b"", 0)
 
 
-class BitWriter:
-    """Accumulates bits MSB-first; zero-fills the final byte on export."""
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._acc = 0
-        self._nacc = 0
-        self.bit_count = 0
-
-    def write_bit(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | (1 if bit else 0)
-        self._nacc += 1
-        self.bit_count += 1
-        if self._nacc == 8:
-            self._buf.append(self._acc)
-            self._acc = 0
-            self._nacc = 0
-
-    def write(self, value: int, width: int) -> None:
-        if value < 0 or value >> width:
-            raise EncodingOverflowError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
-
-    def write_run(self, bit: int, count: int) -> None:
-        # byte-aligned fast path keeps long padding runs cheap
-        while count > 0 and self._nacc:
-            self.write_bit(bit)
-            count -= 1
-        fill = 0xFF if bit else 0x00
-        nbytes, rest = divmod(count, 8)
-        if nbytes:
-            self._buf.extend(bytes([fill]) * nbytes)
-            self.bit_count += 8 * nbytes
-        for _ in range(rest):
-            self.write_bit(bit)
-
-    def write_bits(self, bits: Bits) -> None:
-        if self._nacc == 0:
-            full, rest = divmod(bits.nbits, 8)
-            self._buf.extend(bits.data[:full])
-            self.bit_count += 8 * full
-            for i in range(8 * full, bits.nbits):
-                self.write_bit(bits.bit(i))
-        else:
-            for i in range(bits.nbits):
-                self.write_bit(bits.bit(i))
-
-    def to_bits(self) -> Bits:
-        data = bytes(self._buf)
-        if self._nacc:
-            data += bytes([self._acc << (8 - self._nacc)])
-        return Bits(data, self.bit_count)
+# Blocks per codec chunk.  A multiple of 8, so every chunk but the last ends
+# on a byte boundary.  A chunk's bit matrices take about 200 bytes a block,
+# so the codec's working set stays near a MiB whatever the file size.
+_CODEC_CHUNK = 4096
 
 
-class BitReader:
-    """Reads fixed-width MSB-first fields out of a Bits value."""
+def _pack_columns(columns, widths) -> Bits:
+    """Row i holds column j's i-th value in widths[j] <= 64 bits, MSB first;
+    EncodingOverflowError if a value does not fit its field."""
+    for col, w in zip(columns, widths):
+        if col and max(col) >> w:
+            raise EncodingOverflowError(f"value {max(col)} does not fit in {w} bits")
+    t = len(columns[0])
+    views = [np.frombuffer(col, np.uint64) for col in columns]
+    parts = []
+    for start in range(0, t, _CODEC_CHUNK):
+        fields = []
+        for v, w in zip(views, widths):
+            octets = v[start : start + _CODEC_CHUNK].astype(">u8").view(np.uint8).reshape(-1, 8)
+            fields.append(np.unpackbits(octets, axis=1)[:, 64 - w :])
+        parts.append(np.packbits(np.hstack(fields)).tobytes())
+    return Bits(b"".join(parts), t * sum(widths))
 
-    def __init__(self, bits: Bits):
-        self._bits = bits
-        self.pos = 0
 
-    @property
-    def remaining(self) -> int:
-        return self._bits.nbits - self.pos
-
-    def read(self, width: int) -> int:
-        if width > self.remaining:
-            raise ParseError("bit stream truncated mid-field", offset=self.pos)
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self._bits.bit(self.pos)
-            self.pos += 1
-        return value
+def _unpack_columns(bits: Bits, widths) -> list[array]:
+    """Inverse of _pack_columns; the bit count must be a whole number of rows."""
+    width = sum(widths)
+    if bits.nbits % width:
+        raise ParseError(
+            f"payload of {bits.nbits} bits is not a multiple of the {width}-bit block size",
+            offset=bits.nbits - bits.nbits % width,
+        )
+    t = bits.nbits // width
+    columns = [array("Q") for _ in widths]
+    for start in range(0, t, _CODEC_CHUNK):
+        m = min(_CODEC_CHUNK, t - start)
+        offset = start * width // 8
+        raw = np.frombuffer(bits.data, np.uint8, count=(m * width + 7) // 8, offset=offset)
+        matrix = np.unpackbits(raw, count=m * width).reshape(m, width)
+        at = 0
+        for col, w in zip(columns, widths):
+            full = np.zeros((m, 64), np.uint8)
+            full[:, 64 - w :] = matrix[:, at : at + w]
+            col.frombytes(np.packbits(full, axis=1).view(">u8").astype(np.uint64).tobytes())
+            at += w
+    return columns
 
 
 def payload_bits(file: CompressedFile) -> Bits:
     """Fixed-width encoding of the block list; exactly bit_length(file) bits."""
-    if file.n == 0:
-        return Bits.empty()
-    wint = bits_per_int(file.n)
-    wlit = bits_per_int(file.alphabet.size)
-    limit = 1 << wint
-    w = BitWriter()
-    for b in file.blocks:
-        if b.q >= limit or b.length >= limit:
-            raise EncodingOverflowError(
-                f"block {b} exceeds the {wint}-bit field for n = {file.n}"
-            )
-        w.write(b.q, wint)
-        w.write(b.length, wint)
-        w.write(b.lit, wlit)
-    return w.to_bits()
+    widths = _field_widths(file.n, file.alphabet.size)
+    return _pack_columns((file.q, file.length, file.lit), widths)
 
 
 def _encode_header(file: CompressedFile, dp_padded: bool) -> bytes:
@@ -431,32 +429,37 @@ def _decode_header(data: bytes):
     return n, config, alphabet, bool(flags & _FLAG_DP_PADDED), _HEAD.size + k
 
 
-def _blocks_from_bits(bits: Bits, n: int, alphabet: Alphabet) -> tuple[Block, ...]:
-    """Parses a payload bitstring; its length must be an exact block multiple."""
-    if n == 0:
-        if bits.nbits:
-            raise ParseError("payload bits present for an empty file", offset=0)
-        return ()
-    width = block_width(n, alphabet.size)
-    if bits.nbits % width:
-        raise ParseError(
-            f"payload of {bits.nbits} bits is not a multiple of the {width}-bit block size",
-            offset=bits.nbits - bits.nbits % width,
-        )
-    wint = bits_per_int(n)
-    wlit = bits_per_int(alphabet.size)
-    reader = BitReader(bits)
-    blocks = []
-    for i in range(bits.nbits // width):
-        start = reader.pos
-        q = reader.read(wint)
-        length = reader.read(wint)
-        lit = reader.read(wlit)
-        try:
-            blocks.append(Block(q, length, lit))
-        except DomainError as exc:
-            raise ParseError(f"block {i + 1} invalid: {exc} (bit offset)", offset=start) from exc
-    return tuple(blocks)
+def _file_from_bits(
+    bits: Bits, n: int, config: CompressionConfig, alphabet: Alphabet, off: int
+) -> CompressedFile:
+    """Parses a payload and checks it against its header; a ParseError is at
+    the bit offset of a bad block, or at ``off`` for a list not adding to n."""
+    widths = _field_widths(n, alphabet.size)
+    width = sum(widths)
+    q, length, lit = _unpack_columns(bits, widths)
+    qv, lv = np.frombuffer(q, np.uint64), np.frombuffer(length, np.uint64)
+    bad = (qv == 0) != (lv == 0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ParseError(f"block {i + 1} invalid: q xor len is 0 (bit offset)", offset=i * width)
+    try:
+        file = CompressedFile(n, config, alphabet, q, length, lit)
+    except DomainError as exc:
+        raise ParseError(f"inconsistent block list: {exc}", offset=off) from exc
+    # the lengths now add up to n, so nothing below wraps except the masked
+    # q0 of literal blocks; ctc is each block's 0-based destination start
+    q0, ctc = qv - 1, np.cumsum(lv + 1) - (lv + 1)
+    window = config.effective_window(n)
+    non_overlapping = config.variant is Variant.NON_OVERLAPPING
+    overlap = (qv > 0) & ((q0 >= ctc) | (lv > ctc - q0)) & non_overlapping
+    bad = overlap | ((qv > 0) & (ctc > window) & (q0 < ctc - window))
+    if bad.any():
+        i = int(bad.argmax())
+        rule = "copies from the region it produces"
+        if not overlap[i]:
+            rule = f"copies from before its {window}-symbol window"
+        raise ParseError(f"block {i + 1} {rule} (bit offset)", offset=i * width)
+    return file
 
 
 def serialize_blocks(file: CompressedFile) -> bytes:
@@ -481,8 +484,4 @@ def deserialize_blocks(data: bytes) -> CompressedFile:
         bits = Bits(data[off : off + nbytes], nbits)
     except DomainError as exc:
         raise ParseError(f"bad payload fill bits: {exc}", offset=off) from exc
-    blocks = _blocks_from_bits(bits, n, alphabet)
-    try:
-        return CompressedFile(n=n, config=config, alphabet=alphabet, blocks=blocks)
-    except DomainError as exc:
-        raise ParseError(f"inconsistent block list: {exc}", offset=off) from exc
+    return _file_from_bits(bits, n, config, alphabet, off)

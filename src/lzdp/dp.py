@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BitWriter,
     Bits,
     CompressedFile,
     CompressionConfig,
@@ -29,9 +28,9 @@ from .core import (
     ParseError,
     Text,
     Variant,
-    _blocks_from_bits,
     _decode_header,
     _encode_header,
+    _file_from_bits,
     bits_per_int,
     payload_bits,
 )
@@ -176,12 +175,15 @@ def dp_pad(payload: Bits, p: int) -> PaddedBitstring:
     """Append 0, then p-1 one-bits, then one-bits up to the byte boundary."""
     if p < 1:
         raise DomainError(f"pad length must be >= 1, got {p}")
-    w = BitWriter()
-    w.write_bits(payload)
-    w.write_bit(0)
-    w.write_run(1, p - 1)
-    w.write_run(1, (-w.bit_count) % 8)
-    return PaddedBitstring(bits=w.to_bits(), p=p)
+    buf = bytearray(payload.data)
+    used = payload.nbits % 8
+    if used:
+        # the zero-bit is the payload's first fill bit; the rest become ones
+        buf[-1] |= 0xFF >> (used + 1)
+    else:
+        buf.append(0x7F)
+    buf += b"\xff" * ((payload.nbits + p + 7) // 8 - len(buf))
+    return PaddedBitstring(bits=Bits(bytes(buf), 8 * len(buf)), p=p)
 
 
 def dp_compress(
@@ -197,16 +199,15 @@ def dp_compress(
 def dp_strip(padded: Bits) -> Bits:
     """Drop the maximal trailing run of one-bits and the zero before it."""
     data = padded.data
-    i = padded.nbits - 1
-    while i >= 0:
-        byte_i = i // 8
-        take = i - 8 * byte_i + 1
-        chunk = data[byte_i] >> (8 - take)
-        trailing_ones = (chunk ^ (chunk + 1)).bit_length() - 1
-        if trailing_ones < take:
-            return padded.prefix(i - trailing_ones)
-        i -= take
-    raise CorruptPaddingError("no terminating zero-bit found in the padded stream")
+    if padded.nbits % 8:
+        # turn the zero fill bits into ones, so the run continues through them
+        data = data[:-1] + bytes([data[-1] | (0xFF >> padded.nbits % 8)])
+    body = data.rstrip(b"\xff")
+    if not body:
+        raise CorruptPaddingError("no terminating zero-bit found in the padded stream")
+    last = body[-1]
+    trailing_ones = (last ^ (last + 1)).bit_length() - 1
+    return padded.prefix(8 * len(body) - trailing_ones - 1)
 
 
 def pack_padded_container(file: CompressedFile, padded: PaddedBitstring) -> bytes:
@@ -227,8 +228,4 @@ def read_padded_container(data: bytes) -> CompressedFile:
         payload = dp_strip(Bits(body, 8 * len(body)))
     except CorruptPaddingError as exc:
         raise ParseError(str(exc), offset=off) from exc
-    blocks = _blocks_from_bits(payload, n, alphabet)
-    try:
-        return CompressedFile(n=n, config=config, alphabet=alphabet, blocks=blocks)
-    except DomainError as exc:
-        raise ParseError(f"inconsistent block list: {exc}", offset=off) from exc
+    return _file_from_bits(payload, n, config, alphabet, off)

@@ -42,10 +42,11 @@ size and W the window; nothing else grows with n.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .core import (
-    Block,
     CompressedFile,
     CompressionConfig,
     CorruptFileError,
@@ -227,7 +228,7 @@ def _compress_tables(text: Text, config: CompressionConfig) -> CompressedFile:
     self_ref = config.variant is Variant.SELF_REFERENCING
     tables = _ShortMatchTables(codes, window, self_ref)
     size = tables.size
-    blocks = []
+    qs, lens, lits = array("Q"), array("Q"), array("Q")
     c0 = stop = 0
     ctc = 0
     while ctc < n:
@@ -236,16 +237,17 @@ def _compress_tables(text: Text, config: CompressionConfig) -> CompressedFile:
             stop = c0 + size
             lengths, sources = tables.chunk(c0)
         length = lengths[ctc - c0]
-        if length == 0:
-            blocks.append(Block(0, 0, ord(codes[ctc])))
-            ctc += 1
-            continue
-        q0 = sources[ctc - c0]
-        if length == _GRAM:
-            length, q0 = _longest_match(codes, ctc, window, n - ctc - 1, self_ref, q0)
-        blocks.append(Block(q0 + 1, length, ord(codes[ctc + length])))
+        q = 0
+        if length:
+            q0 = sources[ctc - c0]
+            if length == _GRAM:
+                length, q0 = _longest_match(codes, ctc, window, n - ctc - 1, self_ref, q0)
+            q = q0 + 1
+        qs.append(q)
+        lens.append(length)
+        lits.append(ord(codes[ctc + length]))
         ctc += length + 1
-    return CompressedFile(n=n, config=config, alphabet=text.alphabet, blocks=tuple(blocks))
+    return CompressedFile(n, config, text.alphabet, qs, lens, lits)
 
 
 def _compress_with(matcher, text: Text, config: CompressionConfig) -> CompressedFile:
@@ -253,18 +255,16 @@ def _compress_with(matcher, text: Text, config: CompressionConfig) -> Compressed
     n = len(codes)
     window = config.effective_window(n)
     self_ref = config.variant is Variant.SELF_REFERENCING
-    blocks = []
+    qs, lens, lits = array("Q"), array("Q"), array("Q")
     ctc = 0
     while ctc < n:
-        cap = n - ctc - 1
-        length, q0 = matcher(codes, ctc, window, cap, self_ref)
-        if length == 0:
-            blocks.append(Block(0, 0, ord(codes[ctc])))
-            ctc += 1
-        else:
-            blocks.append(Block(q0 + 1, length, ord(codes[ctc + length])))
-            ctc += length + 1
-    return CompressedFile(n=n, config=config, alphabet=text.alphabet, blocks=tuple(blocks))
+        length, q0 = matcher(codes, ctc, window, n - ctc - 1, self_ref)
+        # a literal comes back as (0, -1), so q0 + 1 is its q == 0
+        qs.append(q0 + 1)
+        lens.append(length)
+        lits.append(ord(codes[ctc + length]))
+        ctc += length + 1
+    return CompressedFile(n, config, text.alphabet, qs, lens, lits)
 
 
 def compress(text: Text, config: CompressionConfig | None = None) -> CompressedFile:
@@ -286,21 +286,21 @@ def decompress(file: CompressedFile) -> Text:
     # back to code-point appends
     wide = file.alphabet.size > 256
     out: list | bytearray = [] if wide else bytearray()
-    for i, b in enumerate(file.blocks):
-        if not b.is_literal:
-            q0 = b.q - 1
+    for i, (q, length, lit) in enumerate(zip(file.q, file.length, file.lit)):
+        if q:
+            q0 = q - 1
             if q0 >= len(out):
                 raise CorruptFileError(
-                    f"block {i + 1} copies from position {b.q} but only "
+                    f"block {i + 1} copies from position {q} but only "
                     f"{len(out)} symbols are reconstructed"
                 )
-            if q0 + b.length <= len(out):
-                out.extend(out[q0 : q0 + b.length])
+            if q0 + length <= len(out):
+                out.extend(out[q0 : q0 + length])
             else:
                 # overlapped copy: realize it one symbol at a time
-                for r in range(b.length):
+                for r in range(length):
                     out.append(out[q0 + r])
-        out.append(b.lit)
+        out.append(lit)
     if wide:
         return Text(file.alphabet, "".join(map(chr, out)))
     return Text(file.alphabet, bytes(out).decode("latin-1"))
@@ -310,7 +310,7 @@ def block_spans(file: CompressedFile) -> tuple[tuple[int, int], ...]:
     """1-based destination spans (s_i, f_i) of each block; f_i - s_i = len_i."""
     spans = []
     pos = 1
-    for b in file.blocks:
-        spans.append((pos, pos + b.length))
-        pos += b.length + 1
+    for length in file.length:
+        spans.append((pos, pos + length))
+        pos += length + 1
     return tuple(spans)

@@ -1,8 +1,12 @@
 """Domain types, bit accounting, and the container format."""
 
 import random
+import struct
+from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lzdp import (
     Alphabet,
@@ -18,10 +22,14 @@ from lzdp import (
     bits_per_int,
     compress,
     deserialize_blocks,
+    dp_pad,
+    pack_padded_container,
     payload_bits,
+    read_padded_container,
     serialize_blocks,
 )
-from lzdp.core import BitReader, BitWriter
+from lzdp.core import EncodingOverflowError
+from lzdp.core import _field_widths, _pack_columns, _unpack_columns
 
 from conftest import ABCD, random_byte_text, standard_configs, synthetic_alphabet
 
@@ -31,11 +39,11 @@ REFERENCE_BLOCKS = ((0, 0, "a"), (1, 1, "b"), (2, 2, "c"), (0, 0, "d"), (3, 4, "
 def reference_file() -> CompressedFile:
     """The 12-symbol worked example: five blocks over {a,b,c,d}."""
     blocks = tuple(Block(q, ln, ABCD.index_of(c)) for q, ln, c in REFERENCE_BLOCKS)
-    return CompressedFile(n=12, config=CompressionConfig(), alphabet=ABCD, blocks=blocks)
+    return CompressedFile.from_blocks(12, CompressionConfig(), ABCD, blocks)
 
 
 def empty_file(alphabet=ABCD) -> CompressedFile:
-    return CompressedFile(n=0, config=CompressionConfig(), alphabet=alphabet, blocks=())
+    return CompressedFile.from_blocks(0, CompressionConfig(), alphabet, ())
 
 
 class TestBitsPerInt:
@@ -68,7 +76,7 @@ class TestBitLength:
     def test_three_blocks_binary(self):
         ab = synthetic_alphabet(2)
         blocks = (Block(0, 0, 0), Block(1, 1, 0), Block(0, 0, 1))
-        f = CompressedFile(n=4, config=CompressionConfig(), alphabet=ab, blocks=blocks)
+        f = CompressedFile.from_blocks(4, CompressionConfig(), ab, blocks)
         assert bit_length(f) == 3 * (2 * 2 + 1)
 
 
@@ -125,15 +133,11 @@ class TestBlockInvariants:
 
     def test_file_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            CompressedFile(
-                n=5, config=CompressionConfig(), alphabet=ABCD, blocks=(Block(0, 0, 0),)
-            )
+            CompressedFile.from_blocks(5, CompressionConfig(), ABCD, (Block(0, 0, 0),))
 
     def test_literal_outside_alphabet_rejected(self):
         with pytest.raises(DomainError):
-            CompressedFile(
-                n=1, config=CompressionConfig(), alphabet=ABCD, blocks=(Block(0, 0, 9),)
-            )
+            CompressedFile.from_blocks(1, CompressionConfig(), ABCD, (Block(0, 0, 9),))
 
 
 class TestBits:
@@ -147,25 +151,10 @@ class TestBits:
         assert b.prefix(0).to01() == ""
         assert b.prefix(9).to01() == "101100111"
 
-    def test_writer_reader_fields(self):
-        w = BitWriter()
-        w.write(5, 4)
-        w.write(1, 1)
-        w.write(300, 12)
-        r = BitReader(w.to_bits())
-        assert (r.read(4), r.read(1), r.read(12)) == (5, 1, 300)
-        assert r.remaining == 0
-
-    def test_reader_truncation(self):
-        r = BitReader(Bits.from01("101"))
-        with pytest.raises(ParseError):
-            r.read(4)
-
-    def test_run_writer(self):
-        w = BitWriter()
-        w.write_bit(0)
-        w.write_run(1, 20)
-        assert w.to_bits().to01() == "0" + "1" * 20
+    def test_from01_rejects_non_bits(self):
+        for s in ("102", "1_0", " 1", "+1", "-1"):
+            with pytest.raises(DomainError):
+                Bits.from01(s)
 
 
 class TestSerialization:
@@ -228,3 +217,133 @@ class TestSerialization:
     def test_determinism(self):
         f = reference_file()
         assert serialize_blocks(f) == serialize_blocks(f)
+
+
+def reference_payload(f: CompressedFile) -> str:
+    """The payload as a 0/1 string, one format() call per field."""
+    wint = bits_per_int(f.n)
+    wlit = bits_per_int(f.alphabet.size)
+    return "".join(
+        format(q, f"0{wint}b") + format(ln, f"0{wint}b") + format(c, f"0{wlit}b")
+        for q, ln, c in zip(f.q, f.length, f.lit)
+    )
+
+
+def with_payload(f: CompressedFile, blocks) -> bytes:
+    """f's container with its payload replaced by the given (q, len, lit) rows."""
+    columns = [array("Q", col) for col in zip(*blocks)]
+    payload = _pack_columns(columns, _field_widths(f.n, f.alphabet.size))
+    head = serialize_blocks(f)[: -len(payload_bits(f).data) - 8]
+    return head + struct.pack(">Q", payload.nbits) + payload.data
+
+
+@st.composite
+def column_files(draw):
+    """Valid files of up to 80 blocks whose n may reach 2**64 - 1.
+
+    Lengths are drawn up to what the variant, window and u64 n allow, so a
+    few blocks can cover a huge n and fill 63- and 64-bit fields.
+    """
+    k = draw(st.integers(1, 256))
+    variant = draw(st.sampled_from(list(Variant)))
+    window = draw(st.one_of(st.none(), st.integers(1, 8), st.integers(1, 2**64 - 1)))
+    blocks, ctc = [], 0
+    for _ in range(draw(st.integers(1, 80))):
+        room = 2**64 - 2 - ctc  # n = ctc + length + 1 must stay below 2**64
+        lo = 0 if window is None else max(0, ctc - window)
+        reach = ctc - lo if variant is Variant.NON_OVERLAPPING else room
+        if ctc and min(reach, room) >= 1 and draw(st.booleans()):
+            length = draw(st.integers(1, min(reach, room)))
+            hi = ctc - length if variant is Variant.NON_OVERLAPPING else ctc - 1
+            q = draw(st.integers(lo, hi)) + 1
+        elif room >= 0:
+            q = length = 0
+        else:
+            break
+        blocks.append(Block(q, length, draw(st.integers(0, k - 1))))
+        ctc += length + 1
+    config = CompressionConfig(window=window, variant=variant)
+    return CompressedFile.from_blocks(ctc, config, synthetic_alphabet(k), blocks)
+
+
+class TestCodec:
+    def test_field_vectors(self):
+        columns = [array("Q", [5]), array("Q", [1]), array("Q", [300])]
+        bits = _pack_columns(columns, (4, 1, 12))
+        assert bits.to01() == "0101" + "1" + "000100101100"
+        assert _unpack_columns(bits, (4, 1, 12)) == columns
+
+    def test_parse_truncation(self):
+        with pytest.raises(ParseError):
+            _unpack_columns(Bits.from01("101"), (4,))
+        blob = bytearray(serialize_blocks(reference_file()))
+        at = len(blob) - len(payload_bits(reference_file()).data) - 8
+        blob[at : at + 8] = struct.pack(">Q", 49)  # 50 payload bits, 10 a block
+        with pytest.raises(ParseError) as err:
+            deserialize_blocks(bytes(blob))
+        assert err.value.offset == 40
+
+    def test_field_overflow(self):
+        with pytest.raises(EncodingOverflowError):
+            _pack_columns([array("Q", [3, 16])], (4,))
+        assert _pack_columns([array("Q", [2**64 - 1])], (64,)).to01() == "1" * 64
+
+    def test_chunk_edges(self):
+        # more blocks than one codec chunk, at a width that is not a multiple of 8
+        text = random_byte_text(random.Random(9), 30000)
+        f = compress(text, CompressionConfig(window=64))
+        assert f.t > 4096
+        assert payload_bits(f).to01() == reference_payload(f)
+        assert deserialize_blocks(serialize_blocks(f)) == f
+
+    def test_bad_block_offset(self):
+        f = reference_file()
+        rows = [(b.q, b.length, b.lit) for b in f.blocks]
+        rows[3] = (1, 0, 3)  # a match block of length 0
+        with pytest.raises(ParseError, match="block 4") as err:
+            deserialize_blocks(with_payload(f, rows))
+        assert err.value.offset == 3 * 10
+
+    @given(column_files(), st.integers(1, 40))
+    def test_property(self, f, p):
+        payload = payload_bits(f)
+        assert payload.to01() == reference_payload(f)
+        assert deserialize_blocks(serialize_blocks(f)) == f
+        assert read_padded_container(pack_padded_container(f, dp_pad(payload, p))) == f
+
+
+READERS = (
+    lambda f: deserialize_blocks(serialize_blocks(f)),
+    lambda f: read_padded_container(pack_padded_container(f, dp_pad(payload_bits(f), 3))),
+)
+
+
+class TestHeaderRules:
+    """Readers reject block lists that break the header's variant or window."""
+
+    def file(self, config, rows, n):
+        blocks = [Block(q, ln, ABCD.index_of(c)) for q, ln, c in rows]
+        return CompressedFile.from_blocks(n, config, ABCD, blocks)
+
+    def rejected(self, f, match, offset):
+        for read in READERS:
+            with pytest.raises(ParseError, match=match) as err:
+                read(f)
+            assert err.value.offset == offset
+
+    def test_overlapped_copy_in_non_overlapping_file(self):
+        # "aaaa" as the self-referencing parse, flagged non-overlapping
+        f = self.file(CompressionConfig(), [(0, 0, "a"), (1, 2, "a")], 4)
+        self.rejected(f, "block 2 copies from the region it produces", 1 * (2 * 2 + 2))
+
+    def test_copy_from_before_the_window(self):
+        # "abcab" with W = 2: block 4 copies "a" from 3 symbols back
+        rows = [(0, 0, "a"), (0, 0, "b"), (0, 0, "c"), (1, 1, "b")]
+        f = self.file(CompressionConfig(window=2), rows, 5)
+        self.rejected(f, "block 4 copies from before its 2-symbol window", 3 * (2 * 3 + 2))
+
+    def test_overlapped_copy_in_self_referencing_file(self):
+        for window in (None, 1):
+            config = CompressionConfig(window=window, variant=Variant.SELF_REFERENCING)
+            f = self.file(config, [(0, 0, "a"), (1, 2, "a")], 4)
+            assert [read(f) for read in READERS] == [f, f]

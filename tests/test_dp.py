@@ -192,6 +192,11 @@ class TestPadAndStrip:
         assert payload.nbits == 50
         assert padded.bits.to01() == payload.to01() + "0111" + "11"
 
+    def test_run_of_ones(self):
+        padded = dp_pad(Bits.empty(), 21)
+        assert padded.bits.to01() == "0" + "1" * 20 + "111"
+        assert dp_strip(padded.bits) == Bits.empty()
+
     def test_strip_rule(self):
         assert dp_strip(Bits.from01("1011" + "0" + "111")).to01() == "1011"
 

@@ -66,19 +66,15 @@ class TestDecompress:
             Block(q, ln, ABCD.index_of(c))
             for q, ln, c in ((0, 0, "a"), (1, 1, "b"), (2, 2, "c"), (0, 0, "d"), (3, 4, "a"))
         )
-        f = CompressedFile(n=12, config=NO, alphabet=ABCD, blocks=blocks)
+        f = CompressedFile.from_blocks(12, NO, ABCD, blocks)
         assert decompress(f).to_string() == "aababcdbabca"
 
     def test_overlapped_copy(self):
-        f = CompressedFile(
-            n=4, config=SR, alphabet=AB, blocks=(Block(0, 0, 0), Block(1, 2, 0))
-        )
+        f = CompressedFile.from_blocks(4, SR, AB, (Block(0, 0, 0), Block(1, 2, 0)))
         assert decompress(f).to_string() == "aaaa"
 
     def test_forward_reference_rejected(self):
-        f = CompressedFile(
-            n=3, config=SR, alphabet=AB, blocks=(Block(0, 0, 0), Block(2, 1, 1))
-        )
+        f = CompressedFile.from_blocks(3, SR, AB, (Block(0, 0, 0), Block(2, 1, 1)))
         with pytest.raises(CorruptFileError):
             decompress(f)
 
