@@ -38,8 +38,6 @@ from .lz77 import block_spans, compress, compress_reference, decompress
 from .dp import (
     CorruptPaddingError,
     DPParams,
-    PaddedBitstring,
-    dp_compress,
     dp_pad,
     dp_strip,
     gs_upper_bound,

@@ -330,14 +330,13 @@ def global_sensitivity_exhaustive(
     k: int,
     config: CompressionConfig,
     budget: int = 10**8,
-    use_pruning: bool = True,
 ) -> int:
     """Exact global sensitivity by enumerating every length-n input.
 
     Refuses with BudgetExceededError when the worst-case number of
     compressor calls (K^n strings, each with n*(K-1) substitutions) exceeds
-    ``budget``.  With pruning, only permutation-canonical strings are
-    enumerated, which does not change the maximum.
+    ``budget``.  Only permutation-canonical strings are enumerated, which
+    does not change the maximum.
     """
     if n < 0 or k < 1:
         raise DomainError("need n >= 0 and alphabet size >= 1")
@@ -348,17 +347,6 @@ def global_sensitivity_exhaustive(
         return 0
     alphabet = Alphabet(tuple(chr(i) for i in range(k)))
     worst = 0
-    if use_pruning:
-        candidates = _canonical_codes(n, k)
-    else:
-        candidates = _all_codes(n, k)
-    for codes in candidates:
+    for codes in _canonical_codes(n, k):
         worst = max(worst, local_sensitivity(Text(alphabet, codes), config))
     return worst
-
-
-def _all_codes(n: int, k: int) -> Iterator[str]:
-    import itertools
-
-    for tup in itertools.product([chr(i) for i in range(k)], repeat=n):
-        yield "".join(tup)

@@ -13,10 +13,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     BYTES,
     Alphabet,
     CompressionConfig,
+    DomainError,
     LzdpError,
     Text,
     Variant,
@@ -70,16 +73,18 @@ def _write_text(path: str, text: Text) -> None:
 
 def _config(args) -> CompressionConfig:
     variant = Variant.SELF_REFERENCING if args.self_ref else Variant.NON_OVERLAPPING
-    return CompressionConfig(window=args.window, variant=variant)
+    try:
+        return CompressionConfig(window=args.window, variant=variant)
+    except DomainError as exc:
+        raise _Usage(str(exc)) from exc
 
 
-def _seed(args) -> int:
+def _seed(args) -> int | None:
+    """--seed, else $LZDP_SEED, else None: default_rng then reads OS entropy."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(ENV_SEED)
-    if env is not None:
-        return int(env)
-    return int.from_bytes(os.urandom(8), "big")
+    return None if env is None else int(env)
 
 
 def _add_compression_flags(p: argparse.ArgumentParser) -> None:
@@ -110,7 +115,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    file = deserialize_blocks(Path(args.input).read_bytes())
+    file = args.read(Path(args.input).read_bytes())
     text = decompress(file)
     _write_text(args.output, text)
     _emit({"n": file.n, "t": file.t, "payload_bits": bit_length(file)})
@@ -118,42 +123,33 @@ def cmd_decompress(args) -> int:
 
 
 def _dp_params(args, file) -> dp_mod.DPParams:
-    if not args.epsilon > 0:
-        raise _Usage("--epsilon must be > 0")
-    if not 0 < args.delta < 1:
-        raise _Usage("--delta must be in (0, 1)")
     gs = args.gs
     if gs is None:
         n = max(1, file.n)
         window = min(file.config.effective_window(n), n)
         gs = dp_mod.gs_upper_bound(n, window, file.alphabet.size, file.config.variant)
-    return dp_mod.DPParams(epsilon=args.epsilon, delta=args.delta, gs_bits=gs, seed=_seed(args))
+    try:
+        return dp_mod.DPParams(epsilon=args.epsilon, delta=args.delta, gs_bits=gs)
+    except DomainError as exc:
+        raise _Usage(str(exc)) from exc
 
 
 def cmd_dp_compress(args) -> int:
     text = _read_text(args.input, args.alphabet)
     file = compress(text, _config(args))
     params = _dp_params(args, file)
-    rng = params.make_rng()
-    padded = dp_mod.dp_pad(payload_bits(file), dp_mod.pad_length(params, rng))
+    p = dp_mod.pad_length(params, np.random.default_rng(_seed(args)))
+    padded = dp_mod.dp_pad(payload_bits(file), p)
     Path(args.output).write_bytes(dp_mod.pack_padded_container(file, padded))
     doc = {
         "payload_bits": bit_length(file),
-        "total_bits": padded.bits.nbits,
+        "total_bits": padded.nbits,
         "k": params.k,
         "gs_bits": params.gs_bits,
     }
     if args.reveal_pad:
-        doc["pad"] = padded.p
+        doc["pad"] = p
     _emit(doc)
-    return 0
-
-
-def cmd_dp_decompress(args) -> int:
-    file = dp_mod.read_padded_container(Path(args.input).read_bytes())
-    text = decompress(file)
-    _write_text(args.output, text)
-    _emit({"n": file.n, "t": file.t, "payload_bits": bit_length(file)})
     return 0
 
 
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompress", help="restore a file from a block container")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_decompress)
+    p.set_defaults(func=cmd_decompress, read=deserialize_blocks)
 
     p = sub.add_parser("dp-compress", help="compress and pad with length-hiding noise")
     p.add_argument("input")
@@ -279,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dp-decompress", help="strip padding and restore the file")
     p.add_argument("input")
     p.add_argument("output")
-    p.set_defaults(func=cmd_dp_decompress)
+    p.set_defaults(func=cmd_decompress, read=dp_mod.read_padded_container)
 
     p = sub.add_parser("analyze", help="classify the block alignment of two neighbor files")
     p.add_argument("w")

@@ -10,6 +10,10 @@ the worst-case payload-length change such a substitution can cause.
 ``gs_upper_bound`` supplies that worst case in closed form for every variant
 and window regime.  Stripping the padding needs no side channel: remove the
 maximal trailing run of one-bits, then one zero-bit.
+
+Every draw takes a caller-owned ``np.random.Generator``.  A generator built
+from a reused seed draws the same pad for every message, so the padding
+then hides nothing.
 """
 
 from __future__ import annotations
@@ -22,23 +26,21 @@ import numpy as np
 from .core import (
     Bits,
     CompressedFile,
-    CompressionConfig,
     DomainError,
     LzdpError,
     ParseError,
-    Text,
     Variant,
     _decode_header,
     _encode_header,
     _file_from_bits,
-    bits_per_int,
-    payload_bits,
+    block_width,
 )
-from .lz77 import compress
 
 _CBRT3 = 3.0 ** (1.0 / 3.0)
 _CBRT9 = 9.0 ** (1.0 / 3.0)
 _CBRT81 = 81.0 ** (1.0 / 3.0)
+# bit lengths share the header's u64 limit on n
+_MAX_BITS = 2**63
 
 
 class CorruptPaddingError(LzdpError):
@@ -47,20 +49,22 @@ class CorruptPaddingError(LzdpError):
 
 @dataclass(frozen=True)
 class DPParams:
-    """Everything the padding mechanism consumes."""
+    """Everything the padding mechanism consumes except the RNG, which the
+    caller owns and passes to each draw."""
 
     epsilon: float
     delta: float
     gs_bits: int
-    seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
-        if self.gs_bits < 1:
-            raise DomainError(f"gs_bits must be >= 1, got {self.gs_bits}")
+        if not 1 <= self.gs_bits < _MAX_BITS:
+            raise DomainError(f"gs_bits must be in [1, 2**63), got {self.gs_bits}")
+        if not self.k < _MAX_BITS:
+            raise DomainError(f"pad offset k = {self.k} bits is not below 2**63")
 
     @property
     def scale(self) -> float:
@@ -69,17 +73,6 @@ class DPParams:
     @property
     def k(self) -> float:
         return self.scale * math.log(1.0 / (2.0 * self.delta)) + self.gs_bits + 1
-
-    def make_rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-@dataclass(frozen=True)
-class PaddedBitstring:
-    """Padded payload bits plus the drawn pad length (kept for tests only)."""
-
-    bits: Bits
-    p: int
 
 
 def laplace_sample(scale: float, rng: np.random.Generator, size: int | None = None):
@@ -111,39 +104,30 @@ def _bound_expr(x: int, windowed: bool, self_ref: bool) -> float:
 
 
 def gs_upper_bound(n: int, window: int | None, k: int, variant: Variant) -> int:
-    """Closed-form bound, in bits, on the payload-length change across any
-    pair of length-n inputs differing in a single symbol.
-
-    The unbounded regime (window = n) uses the n-form with additive constant
-    1 (non-overlapping) or 3 (self-referencing); a bounded window uses the
-    tighter W-form with constant 3 or 5.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if k < 1:
-        raise DomainError(f"alphabet size must be >= 1, got {k}")
-    w = n if window is None else window
-    if w < 1:
-        raise DomainError(f"window must be >= 1, got {w}")
-    if w > n:
-        raise DomainError(f"window {w} exceeds n = {n}")
-    self_ref = variant is Variant.SELF_REFERENCING
-    expr = _bound_expr(w if w < n else n, windowed=w < n, self_ref=self_ref)
-    return math.ceil(expr * (2 * bits_per_int(n) + bits_per_int(k)))
+    """The ``selected`` bound_table row for ``variant``: the closed-form
+    sensitivity bound, in bits, that applies at (n, window, k)."""
+    return next(
+        row["bound_bits"]
+        for row in bound_table(n, window, k)
+        if row["selected"] and row["variant"] == variant.value
+    )
 
 
 def bound_table(n: int, window: int | None, k: int) -> list[dict]:
     """Both closed forms for both variants at (n, window), as table rows.
 
-    The row gs_upper_bound itself would pick for these arguments is marked
-    ``selected``.
+    Each row bounds, in bits, the payload-length change across any pair of
+    length-n inputs differing in a single symbol.  The n-form (constant 1
+    non-overlapping, 3 self-referencing) holds for every window; the tighter
+    W-form (constant 3 or 5) needs a bounded window.  The row that applies,
+    the W-form exactly when W < n, is marked ``selected``.
     """
     if n < 1 or k < 1:
         raise DomainError("need n >= 1 and alphabet size >= 1")
     w = n if window is None else window
     if not 1 <= w <= n:
         raise DomainError(f"window must be in [1, n], got {w}")
-    width = 2 * bits_per_int(n) + bits_per_int(k)
+    width = block_width(n, k)
     rows = []
     for variant in Variant:
         self_ref = variant is Variant.SELF_REFERENCING
@@ -171,7 +155,7 @@ def pad_lengths(params: DPParams, rng: np.random.Generator, size: int) -> np.nda
     return np.maximum(1, np.ceil(z + params.k)).astype(np.int64)
 
 
-def dp_pad(payload: Bits, p: int) -> PaddedBitstring:
+def dp_pad(payload: Bits, p: int) -> Bits:
     """Append 0, then p-1 one-bits, then one-bits up to the byte boundary."""
     if p < 1:
         raise DomainError(f"pad length must be >= 1, got {p}")
@@ -183,17 +167,7 @@ def dp_pad(payload: Bits, p: int) -> PaddedBitstring:
     else:
         buf.append(0x7F)
     buf += b"\xff" * ((payload.nbits + p + 7) // 8 - len(buf))
-    return PaddedBitstring(bits=Bits(bytes(buf), 8 * len(buf)), p=p)
-
-
-def dp_compress(
-    text: Text,
-    config: CompressionConfig,
-    params: DPParams,
-    rng: np.random.Generator,
-) -> PaddedBitstring:
-    """Compress, serialize to payload bits, and pad with a fresh draw."""
-    return dp_pad(payload_bits(compress(text, config)), pad_length(params, rng))
+    return Bits(bytes(buf), 8 * len(buf))
 
 
 def dp_strip(padded: Bits) -> Bits:
@@ -210,12 +184,12 @@ def dp_strip(padded: Bits) -> Bits:
     return padded.prefix(8 * len(body) - trailing_ones - 1)
 
 
-def pack_padded_container(file: CompressedFile, padded: PaddedBitstring) -> bytes:
+def pack_padded_container(file: CompressedFile, padded: Bits) -> bytes:
     """Container bytes for a padded file: header with the dp flag, no payload
     bit count (its presence would leak the unpadded length), padded bits."""
-    if padded.bits.nbits % 8:
+    if padded.nbits % 8:
         raise DomainError("padded bitstrings must be byte-aligned")
-    return _encode_header(file, dp_padded=True) + padded.bits.data
+    return _encode_header(file, dp_padded=True) + padded.data
 
 
 def read_padded_container(data: bytes) -> CompressedFile:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Alphabet, CompressionConfig, DomainError, Text, Variant, bits_per_int
+from .core import Alphabet, CompressionConfig, DomainError, Text, Variant, block_width
 from .lz77 import block_spans
 from . import analysis
 
@@ -276,7 +276,7 @@ def verify_lower_bound(m: int, config: CompressionConfig | None = None) -> dict:
         else f"mismatch {mismatches}",
     )
 
-    width = 2 * bits_per_int(n) + bits_per_int(QUINARY.size)
+    width = block_width(n, QUINARY.size)
     delta_bits = (pa.t_prime - pa.t) * width
     bound = m * m * math.log2(m)
     add("delta_vs_bound", delta_bits >= bound, f"gap {delta_bits} bits >= {bound:.2f}")

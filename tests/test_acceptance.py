@@ -22,11 +22,12 @@ from lzdp import (
     classify_pair,
     compress,
     decompress,
-    dp_compress,
+    dp_pad,
     dp_strip,
     global_sensitivity_exhaustive,
     gs_upper_bound,
     laplace_sample,
+    pad_length,
     pad_lengths,
     payload_bits,
     quinstr,
@@ -168,11 +169,10 @@ def test_criterion_7_dp_mechanics():
         for epsilon in (0.5, 1.0):
             for delta in (1e-2, 1e-4):
                 seed += 1
-                params = DPParams(epsilon=epsilon, delta=delta, gs_bits=28, seed=seed)
-                rng = params.make_rng()
-                p = pad_lengths(params, rng, draws_per_setup)
+                params = DPParams(epsilon=epsilon, delta=delta, gs_bits=28)
+                p = pad_lengths(params, np.random.default_rng(seed), draws_per_setup)
                 assert int(p.min()) >= 1
-                z = laplace_sample(params.scale, params.make_rng(), size=draws_per_setup)
+                z = laplace_sample(params.scale, np.random.default_rng(seed), size=draws_per_setup)
                 threshold = -params.scale * math.log(1.0 / (2 * delta))
                 frac = float((z <= threshold).mean())
                 se = math.sqrt(delta * (1 - delta) / draws_per_setup)
@@ -180,11 +180,12 @@ def test_criterion_7_dp_mechanics():
         # stripping recovers the exact unpadded payload
         rng = random.Random(0x5717)
         config = CompressionConfig()
+        params = DPParams(epsilon=1.0, delta=1e-2, gs_bits=64)
         for i in range(1_000):
             text = random_byte_text(rng, rng.randrange(0, 256))
-            params = DPParams(epsilon=1.0, delta=1e-2, gs_bits=64, seed=i)
-            padded = dp_compress(text, config, params, params.make_rng())
-            assert dp_strip(padded.bits) == payload_bits(compress(text, config))
+            payload = payload_bits(compress(text, config))
+            padded = dp_pad(payload, pad_length(params, np.random.default_rng(i)))
+            assert dp_strip(padded) == payload
 
 
 def test_criterion_8_length_histogram_indistinguishability():

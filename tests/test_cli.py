@@ -1,7 +1,10 @@
 """Command-line surface: JSON contracts, exit codes, file roundtrips."""
 
+import hashlib
 import json
 import random
+
+import pytest
 
 from lzdp.cli import main
 
@@ -174,13 +177,25 @@ class TestDpCommands:
         )
         assert doc["pad"] >= 1
 
-    def test_delta_out_of_range_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--delta", "1.5"),
+            ("--delta", "1e-320"),
+            ("--epsilon", "0"),
+            ("--epsilon", "inf"),
+            ("--epsilon", "nan"),
+            ("--epsilon", "1e-300"),
+            ("--gs", "0"),
+            ("--window", "0"),
+        ],
+    )
+    def test_out_of_domain_flag_is_usage_error(self, tmp_path, capsys, flag, value):
         src = tmp_path / "d.bin"
         src.write_bytes(b"x")
-        code, _ = run(
-            capsys, "dp-compress", str(src), str(tmp_path / "d.dp"),
-            "--epsilon", "1", "--delta", "1.5",
-        )
+        flags = {"--epsilon": "1", "--delta": "0.01", flag: value}
+        argv = [arg for pair in flags.items() for arg in pair]
+        code, _ = run(capsys, "dp-compress", str(src), str(tmp_path / "d.dp"), *argv)
         assert code == 2
 
     def test_gs_override(self, tmp_path, capsys):
@@ -191,6 +206,30 @@ class TestDpCommands:
             "--epsilon", "1", "--delta", "0.01", "--gs", "12", "--seed", "3",
         )
         assert code == 0 and doc["gs_bits"] == 12
+
+    @pytest.mark.parametrize(
+        "flags, sha256",
+        [
+            ([], "1740c3e0d3b46b20b2851e9d4f363023c0a2ca5ff0bdd56ec42e1e8e42dbefa5"),
+            (["--window", "16"], "7c5f12291f8ed1ee6f94e7cd7b157864807a2510fd9e9ce4f5e8590ddd65471d"),
+            (["--self-ref"], "c934e929f3f19c7b1edca867753d8dc7dbfca91315ead13315520dbcf049fa64"),
+            (
+                ["--self-ref", "--window", "16"],
+                "80ba3728d47d252fe813379d4679b6c107b330630f87e0e8250d925a7634c1be",
+            ),
+        ],
+        ids=["unbounded", "w16", "self-ref", "self-ref-w16"],
+    )
+    def test_seeded_container_pinned(self, tmp_path, capsys, flags, sha256):
+        # digests recorded from earlier releases: parse, bound and pad draw are unchanged
+        src = tmp_path / "pin.bin"
+        src.write_bytes(b"<p>pinned padding output</p>\n" * 6 + random.Random(15).randbytes(300))
+        code, _ = run(
+            capsys, "dp-compress", str(src), str(tmp_path / "pin.dp"),
+            "--epsilon", "1", "--delta", "0.001", "--seed", "11", *flags,
+        )
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "pin.dp").read_bytes()).hexdigest() == sha256
 
     def test_plain_decompress_rejects_padded(self, tmp_path, capsys):
         src = tmp_path / "x.bin"
